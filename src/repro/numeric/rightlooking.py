@@ -9,7 +9,9 @@ pivot, then push updates into every *sub-column* ``k > j`` with
     As(i, k) -= As(i, j) * As(j, k)    for every i > j with As(i, j) != 0
 
 Symbolic correctness guarantees every target position ``(i, k)`` exists in
-the filled pattern, which the implementation asserts.
+the filled pattern; a pattern that breaks this raises
+:class:`~repro.errors.SparseFormatError` (on both the scalar and the
+vectorized path) instead of writing to a wrong position.
 
 The function counts the exact flops and (optionally) binary-search probe
 steps it performs; the GPU executor (:mod:`repro.core.numeric_gpu`) replays
@@ -22,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..errors import SingularMatrixError
+from ..errors import SingularMatrixError, SparseFormatError
 from ..graph import LevelSchedule
 from ..sparse import CSCMatrix, CSRMatrix
 
@@ -149,16 +151,22 @@ def factorize_in_place(
                 rows_k = indices[ks:ke]
                 # As(j, k): the multiplier from row j of U
                 pj = int(np.searchsorted(rows_k, j))
-                assert pj < len(rows_k) and rows_k[pj] == j, (
-                    "symbolic pattern is missing U entry "
-                    f"({j}, {k}) — filled pattern is inconsistent"
-                )
+                if pj >= len(rows_k) or rows_k[pj] != j:
+                    raise SparseFormatError(
+                        f"filled pattern is missing U entry ({j}, {k}) "
+                        "— symbolic pattern is inconsistent"
+                    )
                 ujk = data[ks + pj]
                 if len(sub_rows):
                     pos = np.searchsorted(rows_k, sub_rows)
-                    assert np.all(
-                        (pos < len(rows_k)) & (rows_k[pos] == sub_rows)
-                    ), f"fill positions missing in column {k}"
+                    hit = pos < len(rows_k)
+                    hit[hit] = rows_k[pos[hit]] == sub_rows[hit]
+                    if not hit.all():
+                        bad = int(np.argmin(hit))
+                        raise SparseFormatError(
+                            f"fill position ({int(sub_rows[bad])}, {k}) "
+                            "missing — filled pattern is inconsistent"
+                        )
                     data[ks:ke][pos] -= l_vals * ujk
                     stats.update_flops += 2 * len(sub_rows)
                     level_flops += 2 * len(sub_rows)

@@ -12,11 +12,19 @@ operate on structure in blocks, not element at a time.
 The key observation is that every *position* the scalar loop computes —
 diagonal offsets, sub-diagonal slices, the ``(j, k)`` sub-column pairs
 and the flat target of every single update — depends only on the filled
-pattern, never on the values.  So the kernel resolves them up front, in
-level-batches bounded by :data:`_MAX_BATCH_UPDATES`, with one ragged
-gather (:func:`concat_ranges`) plus one batched binary search
-(``np.searchsorted``) against the globally sorted entry keys
-``col * n + row`` (the sorted-CSC property Algorithm 6 relies on).
+pattern, never on the values.  So the kernel resolves them up front,
+without searching for any update target.  Every ``U`` entry ``(j, k)``
+of the filled pattern is exactly one sub-column pair, so the plan walks
+the ``U`` entries in CSC order, one block of target columns at a time:
+the block's ``row -> position`` maps are scattered into a dense window
+of ``n`` slots per column, and the target of every row update
+``(i, j) -> (i, k)`` is a single gather from that window.  This is the
+host analogue of the paper's dense-format numeric (§3.4): the window
+is small on the host, so it needs none of the binary searches the
+sorted-CSC kernel (Alg. 6) pays for to save device memory.  Only the
+multipliers ``U(j, k)``, one per pair, are found by one batched search
+of the globally sorted keys ``col * n + row``.  The whole streams are
+then sliced into level-batches bounded by :data:`_MAX_BATCH_UPDATES`.
 
 That structure-only *plan* is cached on the schedule object: repeated
 refactorizations of the same pattern (the serving tier's bread and
@@ -46,7 +54,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import SingularMatrixError
+from ..errors import SingularMatrixError, SparseFormatError
 from ..graph import LevelSchedule
 from ..sparse import CSCMatrix, CSRMatrix
 from ..sparse.ranges import concat_ranges
@@ -58,9 +66,18 @@ __all__ = ["factorize_in_place_fast"]
 #: batches, so batching never reorders the floating-point update stream.
 _MAX_BATCH_UPDATES = 1 << 22
 
+#: entries of the dense target-column window: a block of target columns
+#: spans at most ``_WINDOW_ENTRIES // n`` columns (at least one)
+_WINDOW_ENTRIES = 1 << 18
 
-def _diag_positions(indices: np.ndarray, col_ids: np.ndarray,
-                    n: int) -> np.ndarray:
+#: cap on the updates resolved per block of target columns, which bounds
+#: the block's temporaries
+_MAX_BLOCK_UPDATES = 1 << 17
+
+
+def _diag_positions(
+    indices: np.ndarray, col_ids: np.ndarray, n: int
+) -> np.ndarray:
     """Flat position of each column's diagonal entry (-1 when absent)."""
     hits = np.flatnonzero(indices == col_ids)
     diag_pos = np.full(n, -1, dtype=np.int64)
@@ -72,8 +89,17 @@ class _BatchPlan:
     """Precomputed position streams for one greedy level-batch."""
 
     __slots__ = (
-        "cols_cat", "col_off", "pair_off", "exp_off", "scale_off",
-        "s_flat", "l_flat", "pos_ujk", "pos_tgt", "pair_rows", "sc_cnt",
+        "cols_cat",
+        "col_off",
+        "pair_off",
+        "exp_off",
+        "scale_off",
+        "s_flat",
+        "l_flat",
+        "pos_ujk",
+        "pos_tgt",
+        "pair_rows",
+        "sc_cnt",
         "pair_search",
     )
 
@@ -107,8 +133,12 @@ class _NumericPlan:
     """
 
     __slots__ = (
-        "as_nnz", "ra_nnz",
-        "count_search_steps", "n", "diag_pos", "batches",
+        "as_nnz",
+        "ra_nnz",
+        "count_search_steps",
+        "n",
+        "diag_pos",
+        "batches",
     )
 
     as_nnz: int
@@ -127,6 +157,118 @@ class _NumericPlan:
         )
 
 
+def _offsets(counts: np.ndarray) -> np.ndarray:
+    """Exclusive prefix sum with a leading zero (``len(counts) + 1``)."""
+    out = np.zeros(len(counts) + 1, dtype=np.int64)
+    np.cumsum(counts, out=out[1:])
+    return out
+
+
+def _greedy_stop(cum: np.ndarray, start: int, cap: int) -> int:
+    """Largest ``stop`` with ``cum[stop] - cum[start] <= cap``, but at
+    least ``start + 1`` so that one item above the cap still goes
+    through on its own (``cum`` is a non-decreasing prefix sum)."""
+    stop = int(np.searchsorted(cum, cum[start] + cap, side="right")) - 1
+    return max(start + 1, stop)
+
+
+def _u_entry_positions(
+    keys: np.ndarray, pair_j: np.ndarray, pair_k: np.ndarray, n: int
+) -> np.ndarray:
+    """CSC position of every multiplier ``U(j, k)``: one batched search."""
+    probe = pair_k * n + pair_j
+    pos = np.searchsorted(keys, probe)
+    hit = pos < len(keys)
+    hit[hit] = keys[pos[hit]] == probe[hit]
+    if not hit.all():
+        bad = int(np.argmin(hit))
+        raise SparseFormatError(
+            f"filled pattern is missing U entry ({int(pair_j[bad])}, "
+            f"{int(pair_k[bad])}) — symbolic pattern is inconsistent"
+        )
+    return pos
+
+
+def _target_streams(
+    indptr: np.ndarray,
+    indices: np.ndarray,
+    col_ids: np.ndarray,
+    sub_start: np.ndarray,
+    sub_len: np.ndarray,
+    pos_ujk: np.ndarray,
+    exp_off: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Resolve the whole pair-ordered update stream without searching.
+
+    Returns ``(l_flat, pos_tgt)``: for update ``e`` of pair ``(j, k)``,
+    the CSC position of the multiplier ``L(i, j)`` and of its target
+    ``(i, k)``.  The ``U`` entries are walked in CSC order, one block
+    of target columns at a time (see the module docstring); each
+    block's results are scattered to their pair-ordered slots.  A
+    window slot still at the ``-1`` sentinel is a missing fill entry.
+    """
+    total = int(exp_off[-1])
+    l_flat = np.empty(total, dtype=np.int64)
+    pos_tgt = np.empty(total, dtype=np.int64)
+    if total == 0:
+        return l_flat, pos_tgt
+    n = len(indptr) - 1
+    # pair index of each U entry in CSC order: the inverse of pos_ujk
+    pair_at = np.full(len(indices), -1, dtype=np.int64)
+    pair_at[pos_ujk] = np.arange(len(pos_ujk), dtype=np.int64)
+    u_pos = np.flatnonzero(pair_at >= 0)
+    if len(u_pos) != len(pos_ujk):
+        raise SparseFormatError(
+            "row adjacency repeats a U entry — filled pattern is "
+            "inconsistent"
+        )
+    u_pair = pair_at[u_pos]
+    u_col = col_ids[u_pos]
+    u_j = indices[u_pos]
+    u_cnt = sub_len[u_j]
+    u_exp = _offsets(u_cnt)
+    # U entries and updates before each column, for block cutting
+    col_u = _offsets(np.bincount(u_col, minlength=n))
+    col_exp = u_exp[col_u]
+    # update e of U entry u sits at ``u_exp[u] <= e < u_exp[u + 1]`` in
+    # CSC order; these shifts map it to its multiplier and its slot
+    src_shift = sub_start[u_j] - u_exp[:-1]
+    dst_shift = exp_off[u_pair] - u_exp[:-1]
+
+    width = min(n, max(1, _WINDOW_ENTRIES // n))
+    window = np.full(width * n, -1, dtype=np.int64)
+    k0 = 0
+    while k0 < n:
+        k1 = min(k0 + width, _greedy_stop(col_exp, k0, _MAX_BLOCK_UPDATES))
+        a, b = int(col_u[k0]), int(col_u[k1])
+        x0, x1 = int(col_exp[k0]), int(col_exp[k1])
+        if x1 > x0:
+            e0, e1 = int(indptr[k0]), int(indptr[k1])
+            slots = (col_ids[e0:e1] - k0) * n + indices[e0:e1]
+            window[slots] = np.arange(e0, e1, dtype=np.int64)
+            cnt = u_cnt[a:b]
+            ramp = np.arange(x0, x1, dtype=np.int64)
+            src = np.repeat(src_shift[a:b], cnt)
+            src += ramp
+            slot = np.repeat((u_col[a:b] - k0) * n, cnt)
+            slot += indices[src]
+            found = window[slot]
+            window[slots] = -1
+            if found.min() < 0:
+                bad = int(np.argmin(found))
+                raise SparseFormatError(
+                    f"fill position ({int(indices[src[bad]])}, "
+                    f"{k0 + int(slot[bad]) // n}) missing — filled pattern "
+                    "is inconsistent"
+                )
+            dst = np.repeat(dst_shift[a:b], cnt)
+            dst += ramp
+            l_flat[dst] = src
+            pos_tgt[dst] = found
+        k0 = k1
+    return l_flat, pos_tgt
+
+
 def _build_plan(
     As: CSCMatrix,
     row_adjacency: CSRMatrix,
@@ -138,10 +280,6 @@ def _build_plan(
     n = As.n_cols
 
     col_ids = As.col_ids_of_entries().astype(np.int64, copy=False)
-    # CSC row indices are sorted within each column and columns are laid
-    # out in order, so these keys are globally sorted: one searchsorted
-    # resolves any batch of (row, col) probes.
-    keys = col_ids * n + indices
     diag_pos = _diag_positions(indices, col_ids, n)
     col_nnz = np.diff(indptr)
     # sub-diagonal slice of each column: (diag_pos + 1 .. column end)
@@ -161,15 +299,36 @@ def _build_plan(
     sc_start = np.searchsorted(r_keys, ar * n + ar, side="right")
     sc_len = r_indptr[1:] - sc_start
 
+    # every stream is built whole, in schedule order, then sliced into
+    # level batches: columns -> (j, k) sub-column pairs -> row updates
+    levels = [np.asarray(lv, dtype=np.int64) for lv in schedule.levels]
+    cols_cat = (
+        np.concatenate(levels) if levels else np.empty(0, dtype=np.int64)
+    )
+    lvl_off = _offsets(np.array([len(lv) for lv in levels], dtype=np.int64))
+    pair_cnt = sc_len[cols_cat]
+    pair_off = _offsets(pair_cnt)
+    pair_j = np.repeat(cols_cat, pair_cnt)
+    pair_k = r_indices[concat_ranges(sc_start[cols_cat], pair_cnt)]
+    pair_k = pair_k.astype(np.int64, copy=False)
+    # CSC keys col * n + row are globally sorted (the sorted-CSC
+    # property Algorithm 6 relies on), so one search finds every U(j, k)
+    keys = col_ids * n + indices
+    pos_ujk = _u_entry_positions(keys, pair_j, pair_k, n)
+    pair_rows = sub_len[pair_j]
+    exp_off = _offsets(pair_rows)
+    l_flat, pos_tgt = _target_streams(
+        indptr, indices, col_ids, sub_start, sub_len, pos_ujk, exp_off
+    )
+    sc_cnt = sub_len[cols_cat]
+    scale_off = _offsets(sc_cnt)
+    s_flat = concat_ranges(sub_start[cols_cat], sc_cnt)
+    pair_search: np.ndarray | None = None
     if count_search_steps:
         probe_depth = np.maximum(
             1, np.ceil(np.log2(np.maximum(2, col_nnz))).astype(np.int64)
         )
-
-    levels = [np.asarray(lv, dtype=np.int64) for lv in schedule.levels]
-    # flattened update count contributed by column j: one row update per
-    # (sub-column pair, sub-diagonal row) combination
-    exp_per_level = [int((sc_len[lv] * sub_len[lv]).sum()) for lv in levels]
+        pair_search = _offsets(pair_rows * probe_depth[pair_k])
 
     plan = _NumericPlan()
     plan.as_nnz = As.nnz
@@ -179,75 +338,33 @@ def _build_plan(
     plan.diag_pos = diag_pos
     plan.batches = []
 
+    # updates before each level, for greedy level batches under the cap
+    lvl_exp = exp_off[pair_off[lvl_off]]
     start = 0
     while start < len(levels):
-        # greedy level batch under the position-stream cap (always at
-        # least one level, so a single huge level still goes through)
-        stop = start + 1
-        batch_exp = exp_per_level[start]
-        while (
-            stop < len(levels)
-            and batch_exp + exp_per_level[stop] <= _MAX_BATCH_UPDATES
-        ):
-            batch_exp += exp_per_level[stop]
-            stop += 1
+        stop = _greedy_stop(lvl_exp, start, _MAX_BATCH_UPDATES)
+        c0, c1 = int(lvl_off[start]), int(lvl_off[stop])
+        p0, p1 = int(pair_off[c0]), int(pair_off[c1])
+        e0, e1 = int(exp_off[p0]), int(exp_off[p1])
+        s0, s1 = int(scale_off[c0]), int(scale_off[c1])
 
         b = _BatchPlan()
-        b.cols_cat = cols_cat = np.concatenate(levels[start:stop])
-        b.col_off = np.concatenate(
-            [
-                np.zeros(1, dtype=np.int64),
-                np.cumsum([len(lv) for lv in levels[start:stop]]),
-            ]
-        ).astype(np.int64)
-        pair_cnt = sc_len[cols_cat]
-        b.pair_off = np.concatenate(
-            [np.zeros(1, dtype=np.int64), np.cumsum(pair_cnt)]
+        b.cols_cat = cols_cat[c0:c1]
+        b.col_off = lvl_off[start : stop + 1] - c0
+        b.pair_off = pair_off[c0 : c1 + 1] - p0
+        b.pos_ujk = pos_ujk[p0:p1]
+        b.pair_rows = pair_rows[p0:p1]
+        b.exp_off = exp_off[p0 : p1 + 1] - e0
+        b.l_flat = l_flat[e0:e1]
+        b.pos_tgt = pos_tgt[e0:e1]
+        b.sc_cnt = sc_cnt[c0:c1]
+        b.scale_off = scale_off[c0 : c1 + 1] - s0
+        b.s_flat = s_flat[s0:s1]
+        b.pair_search = (
+            None
+            if pair_search is None
+            else pair_search[p0 : p1 + 1] - pair_search[p0]
         )
-        pair_j = np.repeat(cols_cat, pair_cnt)
-        pair_k = r_indices[
-            concat_ranges(sc_start[cols_cat], pair_cnt)
-        ].astype(np.int64, copy=False)
-        if len(pair_k):
-            probe = pair_k * n + pair_j
-            pos_ujk = np.searchsorted(keys, probe)
-            assert np.array_equal(
-                keys[np.minimum(pos_ujk, len(keys) - 1)], probe
-            ), (
-                "symbolic pattern is missing a U entry — filled pattern "
-                "is inconsistent"
-            )
-        else:
-            pos_ujk = np.empty(0, dtype=np.int64)
-        b.pos_ujk = pos_ujk
-        b.pair_rows = pair_rows = sub_len[pair_j]
-        b.exp_off = np.concatenate(
-            [np.zeros(1, dtype=np.int64), np.cumsum(pair_rows)]
-        )
-        b.l_flat = l_flat = concat_ranges(sub_start[pair_j], pair_rows)
-        if len(l_flat):
-            tgt = np.repeat(pair_k, pair_rows) * n + indices[l_flat]
-            pos_tgt = np.searchsorted(keys, tgt)
-            assert np.array_equal(
-                keys[np.minimum(pos_tgt, len(keys) - 1)], tgt
-            ), "fill positions missing — filled pattern is inconsistent"
-        else:
-            pos_tgt = np.empty(0, dtype=np.int64)
-        b.pos_tgt = pos_tgt
-        b.sc_cnt = sc_cnt = sub_len[cols_cat]
-        b.scale_off = np.concatenate(
-            [np.zeros(1, dtype=np.int64), np.cumsum(sc_cnt)]
-        )
-        b.s_flat = concat_ranges(sub_start[cols_cat], sc_cnt)
-        if count_search_steps:
-            b.pair_search = np.concatenate(
-                [
-                    np.zeros(1, dtype=np.int64),
-                    np.cumsum(pair_rows * probe_depth[pair_k]),
-                ]
-            )
-        else:
-            b.pair_search = None
         plan.batches.append(b)
         start = stop
     return plan
