@@ -37,6 +37,7 @@ from .errors import (
     HostMemoryError,
     QueueFullError,
     ReproError,
+    ScheduleError,
     ServeError,
     ServiceShutdownError,
     SingularMatrixError,
@@ -67,6 +68,7 @@ __all__ = [
     "SingularMatrixError",
     "StructurallySingularError",
     "CycleError",
+    "ScheduleError",
     "ConfigurationError",
     "ServeError",
     "QueueFullError",

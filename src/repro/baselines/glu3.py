@@ -89,10 +89,7 @@ def glu3_factorize(
     if sym.device_filled is not None:
         gpu.free(sym.device_filled)
 
-    L, U = num.factors()
     return EndToEndResult(
-        L=L,
-        U=U,
         pre=pre,
         filled=sym.filled,
         graph=graph,

@@ -48,6 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..errors import ConfigurationError
 from ..gpusim import GPU, DeviceSpec, HostSpec
 from ..gpusim.interconnect import Interconnect, LinkSpec, link_preset
 from ..graph import (
@@ -580,10 +581,18 @@ def multi_gpu_endtoend(
     is simulated: row-sharded symbolic, replicated levelization, the
     reshard all-to-all, level-by-level numeric with halo exchange, and
     the final factor download.  See the module docstring for the model.
+    ``supernodal=True`` is rejected with
+    :class:`~repro.errors.ConfigurationError`: the sharded timeline
+    charges only the per-column schedule, so it would be ignored.
     """
     config = config or SolverConfig()
     if num_devices < 1:
         raise ValueError("num_devices must be >= 1")
+    if config.supernodal:
+        raise ConfigurationError(
+            "multi_gpu_endtoend models only the per-column numeric "
+            "schedule; set supernodal=False"
+        )
     overlap = config.overlap if overlap is None else bool(overlap)
     spec = link_preset(link) if isinstance(link, str) else link
     dev = device or config.device

@@ -45,13 +45,21 @@ only re-models the timeline (factors, fill and pivots bitwise-identical).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from ..errors import SingularMatrixError
 from ..gpusim import GPU
 from ..graph import LevelSchedule, sub_column_counts
-from ..numeric import NumericStats, extract_lu, factorize_in_place
+from ..numeric import (
+    NumericStats,
+    SolvePlan,
+    extract_lu,
+    factorize_in_place,
+    lu_solve,
+    solve_plan_for,
+)
 from ..sparse import CSCMatrix, CSRMatrix
 from .config import SolverConfig
 from .resilient import recovery_log_of
@@ -77,9 +85,29 @@ class NumericResult:
     panel_waves: int = 0
     singleton_panels: int = 0
     panel_coverage: float = 0.0
+    #: level-scheduled solve of ``As``; None when the scalar oracle
+    #: solves (``slow_host_loops``)
+    solve_plan: SolvePlan | None = None
 
     def factors(self) -> tuple[CSCMatrix, CSCMatrix]:
         return extract_lu(self.As)
+
+    @property
+    def factor_nnz(self) -> int:
+        """``L.nnz + U.nnz`` without extracting them: the store plus the
+        unit diagonal ``L`` adds."""
+        return self.As.nnz + self.As.n_cols
+
+    @cached_property
+    def lu(self) -> tuple[CSCMatrix, CSCMatrix]:
+        """:meth:`factors`, extracted on first read and kept."""
+        return self.factors()
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        """Solve ``L U x = b`` in the factorized (permuted) space."""
+        if self.solve_plan is None:
+            return lu_solve(*self.lu, b)
+        return self.solve_plan.solve(self.As.data, b)
 
     @property
     def perturbed_columns(self) -> tuple[int, ...]:
@@ -342,7 +370,8 @@ def numeric_factorize_gpu(
         )
 
     with ledger.phase("numeric"):
-        As = filled.to_csc()
+        solve_plan = solve_plan_for(filled, schedule)
+        As = solve_plan.csc(filled)
         if As.data.dtype != config.compute_dtype:
             As = As.astype(config.compute_dtype)
         as_bytes = (n + 1) * idx + As.nnz * (idx + val)
@@ -362,6 +391,10 @@ def numeric_factorize_gpu(
             gpu, As, filled, schedule, config,
             count_search_steps=(fmt == "csc"),
         )
+        if not config.slow_host_loops:
+            solve_plan.with_streams(
+                As, filled, schedule, count_search_steps=(fmt == "csc")
+            )
 
         if plan is not None:
             # the panel schedule conserves the oracle's measured work
@@ -403,6 +436,7 @@ def numeric_factorize_gpu(
         panel_coverage=(
             float(plan.coverage()) if plan is not None else 0.0
         ),
+        solve_plan=None if config.slow_host_loops else solve_plan,
     )
 
 

@@ -25,6 +25,7 @@ import numpy as np
 
 from ..gpusim import GPU
 from ..graph import LevelSchedule, sub_column_counts
+from ..numeric import solve_plan_for
 from ..sparse import CSRMatrix
 from ..sparse.types import INDEX_DTYPE
 from ..streams import StreamedGPU
@@ -133,7 +134,8 @@ def numeric_factorize_outofcore(
     t0 = ledger.total_seconds
 
     with ledger.phase("numeric"):
-        As = filled.to_csc()
+        solve_plan = solve_plan_for(filled, schedule)
+        As = solve_plan.csc(filled)
         if As.data.dtype != config.compute_dtype:
             As = As.astype(config.compute_dtype)
 
@@ -182,6 +184,10 @@ def numeric_factorize_outofcore(
             gpu, As, filled, schedule, config,
             count_search_steps=True,
         )
+        if not config.slow_host_loops:
+            solve_plan.with_streams(
+                As, filled, schedule, count_search_steps=True
+            )
 
         sub_cols = sub_column_counts(filled)
         tags = schedule.classify_levels(sub_cols)
@@ -232,5 +238,6 @@ def numeric_factorize_outofcore(
         data_format="csc-streamed",
         max_parallel_columns=gpu.spec.max_concurrent_blocks,
         sim_seconds=ledger.total_seconds - t0,
+        solve_plan=None if config.slow_host_loops else solve_plan,
     )
     return result, streaming

@@ -57,8 +57,6 @@ class PhaseBreakdown:
 class EndToEndResult:
     """Factors + permutations + execution record of one pipeline run."""
 
-    L: CSCMatrix
-    U: CSCMatrix
     pre: PreprocessResult
     filled: CSRMatrix
     graph: DependencyGraph
@@ -73,6 +71,15 @@ class EndToEndResult:
     #: the original matrix, retained when resilience is on so a recovered
     #: solve can refine against the *true* ``A`` (not the perturbed factors)
     source: CSRMatrix | None = None
+
+    # -- factors, extracted from the store only when read ----------------
+    @property
+    def L(self) -> CSCMatrix:
+        return self.numeric.lu[0]
+
+    @property
+    def U(self) -> CSCMatrix:
+        return self.numeric.lu[1]
 
     # -- solving ---------------------------------------------------------
     def solve(self, b: np.ndarray) -> np.ndarray:
@@ -109,13 +116,14 @@ class EndToEndResult:
             rec.final_residual = refined.final_residual
             return refined.x
         return lu_solve_permuted(
-            self.L,
-            self.U,
+            None,
+            None,
             b,
             row_perm=self.pre.row_perm,
             col_perm=self.pre.col_perm,
             row_scale=self.pre.row_scale,
             col_scale=self.pre.col_scale,
+            solve=self.numeric.solve,
         )
 
     # -- reporting ---------------------------------------------------------
@@ -310,7 +318,6 @@ class EndToEndLU:
         for buf in sym.device_graph:
             gpu.free(buf)
 
-        L, U = num.factors()
         recovery = None
         source = None
         if cfg.resilience is not None:
@@ -327,8 +334,6 @@ class EndToEndLU:
             )
             source = a
         return EndToEndResult(
-            L=L,
-            U=U,
             pre=pre,
             filled=sym.filled,
             graph=graph,

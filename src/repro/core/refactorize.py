@@ -35,17 +35,25 @@ from .outofcore import outofcore_symbolic
 class RefactorizeResult:
     """Factors from one numeric-only pass (shares its analysis)."""
 
-    L: CSCMatrix
-    U: CSCMatrix
     numeric: NumericResult
     analysis: "ReusableAnalysis"
+
+    # factors are extracted from the store only when read
+    @property
+    def L(self) -> CSCMatrix:
+        return self.numeric.lu[0]
+
+    @property
+    def U(self) -> CSCMatrix:
+        return self.numeric.lu[1]
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         pre = self.analysis.pre
         return lu_solve_permuted(
-            self.L, self.U, b,
+            None, None, b,
             row_perm=pre.row_perm, col_perm=pre.col_perm,
             row_scale=pre.row_scale, col_scale=pre.col_scale,
+            solve=self.numeric.solve,
         )
 
     @property
@@ -87,17 +95,24 @@ class ReusableAnalysis:
         self._scatter = self._build_scatter_map()
 
     def _build_scatter_map(self) -> np.ndarray:
+        """One batched search of the original entries' keys
+        ``row * n + col`` in the filled pattern's (globally sorted) ones,
+        as :func:`~repro.symbolic.symbolic_fill_reference` places values."""
         src = self.pre.matrix
         dst = self.filled
-        out = np.empty(src.nnz, dtype=INDEX_DTYPE)
-        for i in range(src.n_rows):
-            s_cols, _ = src.row(i)
-            d_start = int(dst.indptr[i])
-            d_cols = dst.indices[d_start : int(dst.indptr[i + 1])]
-            pos = np.searchsorted(d_cols, s_cols)
-            assert np.all(d_cols[pos] == s_cols)
-            out[int(src.indptr[i]) : int(src.indptr[i + 1])] = d_start + pos
-        return out
+        n = np.int64(dst.n_cols)
+        keys = dst.row_ids_of_entries().astype(np.int64) * n + dst.indices
+        probe = src.row_ids_of_entries().astype(np.int64) * n + src.indices
+        pos = np.searchsorted(keys, probe)
+        hit = pos < len(keys)
+        hit[hit] = keys[pos[hit]] == probe[hit]
+        if not hit.all():
+            bad = int(probe[np.argmin(hit)])
+            raise SparseFormatError(
+                f"filled pattern lacks original entry ({bad // n}, "
+                f"{bad % n}) — symbolic pattern is inconsistent"
+            )
+        return pos.astype(INDEX_DTYPE, copy=False)
 
     # ------------------------------------------------------------------
     @property
@@ -187,8 +202,7 @@ class ReusableAnalysis:
         num = numeric_factorize_gpu(
             self.gpu, filled, self.schedule, self.config, as_resident=False
         )
-        L, U = num.factors()
-        return RefactorizeResult(L=L, U=U, numeric=num, analysis=self)
+        return RefactorizeResult(numeric=num, analysis=self)
 
 
 def analyze(a: CSRMatrix, config: SolverConfig | None = None,

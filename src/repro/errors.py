@@ -121,6 +121,10 @@ class CycleError(ReproError):
         )
 
 
+class ScheduleError(ReproError):
+    """A level schedule does not order a dependency its consumer needs."""
+
+
 class ConfigurationError(ReproError):
     """An invalid solver / simulator configuration was supplied."""
 

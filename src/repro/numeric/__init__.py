@@ -19,6 +19,7 @@ from .supernodal import (
     supernodal_plan_for,
 )
 from .trisolve import (
+    SolvePlan,
     backward_substitute,
     backward_substitute_multi,
     forward_substitute,
@@ -26,6 +27,7 @@ from .trisolve import (
     lu_solve,
     lu_solve_multi,
     lu_solve_permuted,
+    solve_plan_for,
 )
 
 __all__ = [
@@ -45,6 +47,8 @@ __all__ = [
     "lu_solve",
     "lu_solve_multi",
     "lu_solve_permuted",
+    "SolvePlan",
+    "solve_plan_for",
     "iterative_refinement",
     "make_lu_solver",
     "RefinementResult",

@@ -138,6 +138,7 @@ class _NumericPlan:
         "count_search_steps",
         "n",
         "diag_pos",
+        "pos_ujk",
         "batches",
     )
 
@@ -146,6 +147,9 @@ class _NumericPlan:
     count_search_steps: bool
     n: int
     diag_pos: np.ndarray
+    #: CSC position of every ``U(j, k)``: rows ``j`` in schedule order,
+    #: ``k`` ascending; the batches slice it, the solve plan reverses it
+    pos_ujk: np.ndarray
     batches: list[_BatchPlan]
 
     def matches(self, As: CSCMatrix, row_adjacency: CSRMatrix) -> bool:
@@ -336,6 +340,7 @@ def _build_plan(
     plan.count_search_steps = count_search_steps
     plan.n = n
     plan.diag_pos = diag_pos
+    plan.pos_ujk = pos_ujk
     plan.batches = []
 
     # updates before each level, for greedy level batches under the cap

@@ -610,7 +610,7 @@ class BatchScheduler:
                 t0 = device.gpu.ledger.total_seconds
                 x = result.solve(r.b)
                 # the two triangular solves stream L and U once each
-                device.gpu.launch_utility(result.L.nnz + result.U.nnz)
+                device.gpu.launch_utility(result.numeric.factor_nnz)
                 solve_s = device.gpu.ledger.total_seconds - t0
                 self.metrics.charge("solve", solve_s)
                 t += solve_s
