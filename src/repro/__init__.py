@@ -35,6 +35,7 @@ from .errors import (
     DeadlineExceededError,
     DeviceMemoryError,
     HostMemoryError,
+    PlanInvariantError,
     QueueFullError,
     ReproError,
     ScheduleError,
@@ -69,6 +70,7 @@ __all__ = [
     "StructurallySingularError",
     "CycleError",
     "ScheduleError",
+    "PlanInvariantError",
     "ConfigurationError",
     "ServeError",
     "QueueFullError",

@@ -49,7 +49,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ..errors import SingularMatrixError
+from ..errors import PlanInvariantError, SingularMatrixError
 from ..gpusim import GPU
 from ..graph import LevelSchedule, sub_column_counts
 from ..numeric import (
@@ -187,17 +187,65 @@ def _charge_per_column(
     value_bytes: int,
     kernel_mode_override: str | None,
 ) -> None:
-    """Book the scattered per-level schedule (GLU 3.0 level taxonomy)."""
+    """Book the scattered per-level schedule (GLU 3.0 level taxonomy).
+
+    Replays the pattern's cached launch table (:func:`_launch_table`)
+    in order, so every device wrapper still sees every launch."""
+    if kernel_mode_override not in (None, "A", "B", "C"):
+        raise ValueError("kernel_mode_override must be A, B or C")
     ledger = gpu.ledger
+    launches = _launch_table(
+        filled, schedule, stats.per_level, fmt, cap, n, value_bytes,
+        kernel_mode_override,
+    )
+    for flops, blocks, search, hbm in launches:
+        ledger.count("numeric_kernel_launches")
+        gpu.launch_numeric(
+            flops, blocks, concurrency_cap=cap, search_steps=search
+        )
+        if hbm:
+            gpu.hbm_traffic(hbm)
+
+
+def _launch_table(
+    filled: CSRMatrix,
+    schedule: LevelSchedule,
+    per_level: list[tuple[int, int, int, int]],
+    fmt: str,
+    cap: int,
+    n: int,
+    value_bytes: int,
+    kernel_mode_override: str | None,
+) -> list[tuple[int, int, int, int]]:
+    """The per-column schedule's ``(flops, blocks, search_steps,
+    hbm_bytes)`` launches, in launch order.
+
+    ``hbm_bytes`` is the dense format's scatter/gather traffic booked
+    after a level's last launch (0 otherwise).  The table depends only
+    on the pattern, so it is cached on the schedule beside the numeric
+    plan and reused while ``per_level`` matches the one it was built
+    from.
+    """
+    key = (fmt, cap, n, value_bytes, kernel_mode_override)
+    cache = getattr(schedule, "_launch_tables", None)
+    if cache is None:
+        cache = {}
+        try:
+            schedule._launch_tables = cache  # type: ignore[attr-defined]
+        except AttributeError:
+            pass  # schedule forbids attributes: build every time
+    hit = cache.get(key)
+    if hit is not None and hit[0] == per_level:
+        return hit[1]
+
     sub_cols = sub_column_counts(filled)
     if kernel_mode_override is not None:
-        if kernel_mode_override not in ("A", "B", "C"):
-            raise ValueError("kernel_mode_override must be A, B or C")
         tags = [kernel_mode_override] * schedule.num_levels
     else:
         tags = schedule.classify_levels(sub_cols)
+    launches: list[tuple[int, int, int, int]] = []
     for (flops, cols, updates, search), tag, level in zip(
-        stats.per_level, tags, schedule.levels
+        per_level, tags, schedule.levels
     ):
         if cols == 0:
             continue
@@ -209,24 +257,18 @@ def _charge_per_column(
             weights = sub_cols[level].astype(float) + 1.0
             weights /= weights.sum()
             for j, w in zip(level, weights):
-                blocks = max(1, int(sub_cols[int(j)]))
-                ledger.count("numeric_kernel_launches")
-                gpu.launch_numeric(
-                    max(1, int(flops * w)),
-                    blocks,
-                    concurrency_cap=cap,
-                    search_steps=int(search * w),
+                launches.append(
+                    (
+                        max(1, int(flops * w)),
+                        max(1, int(sub_cols[int(j)])),
+                        int(search * w),
+                        0,
+                    )
                 )
         elif tag == "A":
             # type A: one kernel per level, one block per column (no
             # sub-column teams — ample column parallelism assumed)
-            ledger.count("numeric_kernel_launches")
-            gpu.launch_numeric(
-                max(1, flops),
-                cols,
-                concurrency_cap=cap,
-                search_steps=search,
-            )
+            launches.append((max(1, flops), cols, search, 0))
         else:
             # type B: one kernel per level; a block per column, with
             # warp teams over sub-columns — concurrency counts
@@ -235,17 +277,14 @@ def _charge_per_column(
             blocks = max(
                 cols, min(updates, cols * WARP_TEAMS_PER_BLOCK)
             )
-            ledger.count("numeric_kernel_launches")
-            gpu.launch_numeric(
-                max(1, flops),
-                blocks,
-                concurrency_cap=cap,
-                search_steps=search,
-            )
+            launches.append((max(1, flops), blocks, search, 0))
         if fmt == "dense":
             # scatter each column into its dense buffer and gather the
             # results back: 2 x n x sizeof(dtype) HBM traffic per column
-            gpu.hbm_traffic(2 * cols * n * value_bytes)
+            flops, blocks, search, _ = launches[-1]
+            launches[-1] = (flops, blocks, search, 2 * cols * n * value_bytes)
+    cache[key] = (list(per_level), launches)
+    return launches
 
 
 def _charge_supernodal(
@@ -398,9 +437,11 @@ def numeric_factorize_gpu(
 
         if plan is not None:
             # the panel schedule conserves the oracle's measured work
-            assert plan.total_flops == (
-                stats.div_flops + stats.update_flops
-            ), "supernodal plan lost flops vs the per-column oracle"
+            if plan.total_flops != stats.total_flops:
+                raise PlanInvariantError(
+                    f"supernodal plan books {plan.total_flops} flops, the "
+                    f"per-column kernel measured {stats.total_flops}"
+                )
             _charge_supernodal(gpu, plan, fmt, cap, n, val)
         else:
             _charge_per_column(

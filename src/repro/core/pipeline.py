@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..errors import ConfigurationError
 from ..gpusim import GPU
 from ..graph import DependencyGraph, LevelSchedule, build_dependency_graph
 from ..numeric import lu_solve_permuted
@@ -299,6 +300,15 @@ class EndToEndLU:
             # the factorized matrix itself exceeded device memory: stream
             # it through the out-of-core numeric executor
             from .numeric_outofcore import numeric_factorize_outofcore
+
+            if cfg.supernodal:
+                # the streamed executor charges only the per-column
+                # schedule, so the knob would be silently ignored
+                raise ConfigurationError(
+                    "the factorized matrix exceeds device memory and the "
+                    "out-of-core numeric executor models only the "
+                    "per-column schedule; set supernodal=False"
+                )
 
             num, _ = numeric_factorize_outofcore(
                 gpu, sym.filled, lev.schedule, cfg

@@ -125,6 +125,11 @@ class ScheduleError(ReproError):
     """A level schedule does not order a dependency its consumer needs."""
 
 
+class PlanInvariantError(ReproError):
+    """Two execution plans of one factorization disagree on the work
+    they account for (e.g. a supernodal schedule losing flops)."""
+
+
 class ConfigurationError(ReproError):
     """An invalid solver / simulator configuration was supplied."""
 

@@ -29,18 +29,29 @@ then sliced into level-batches bounded by :data:`_MAX_BATCH_UPDATES`.
 That structure-only *plan* is cached on the schedule object: repeated
 refactorizations of the same pattern (the serving tier's bread and
 butter, and how real solvers amortize analysis across solves) skip the
-precompute entirely and run only the value passes:
+precompute entirely.  The plan also holds a value-only *level program*
+— per level, slices of the streams plus one pivot-position stream (one
+int per ``L`` entry) — and the pattern's :class:`NumericStats`, which
+values cannot change either.  Pivots are therefore checked
+speculatively: without pivot perturbation, a refactorization backs up
+the values once and runs only each level's arithmetic,
 
-* **pivot stage** — gather the level's diagonals in one shot,
-  check/perturb in level order, and raise on the first failing column
-  *after* replaying the scalar path's partial mutations for the columns
-  that precede it;
-* **scale stage** — one gather of the precomputed sub-diagonal stream,
-  one elementwise division;
-* **update stage** — gather multipliers and ``U`` entries through the
-  precomputed position stream and apply with ``np.subtract.at`` — which
-  accumulates repeated targets in array order, i.e. exactly the scalar
-  loop's update order, so floating-point results match bitwise.
+* **scale** — ``data[s] /= data[piv]`` over the level's sub-diagonals;
+* **update** — gather multipliers and ``U`` entries through the
+  position streams and apply with ``np.subtract.at``, which accumulates
+  repeated targets in array order, i.e. exactly the scalar loop's
+  update order, so floating-point results match bitwise;
+
+then tests every pivot at once on the final diagonal.  That is sound
+because only a column ``j`` with ``U(j, k) != 0`` writes the diagonal of
+``k``, always in an earlier level, so the final diagonal is the pivot
+that was used.  On success the cached stats are copied.  If a pivot
+fails the tolerance, or any operation raises a floating-point error,
+the values are restored and the *checked* level loop runs instead: it
+validates (or perturbs) each level's pivots before using them and raises
+for the scalar oracle's column, with the scalar path's partial
+mutations for the columns before it.  Pivot perturbation and a missing
+diagonal always take the checked loop.
 
 Bitwise equivalence relies on the schedule carrying GLU 3.0's *full*
 dependency set (``include_l_dependencies=True``, the library default):
@@ -52,12 +63,15 @@ parallel unit on a real device.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from ..errors import SingularMatrixError, SparseFormatError
 from ..graph import LevelSchedule
 from ..sparse import CSCMatrix, CSRMatrix
 from ..sparse.ranges import concat_ranges
+from .rightlooking import NumericStats
 
 __all__ = ["factorize_in_place_fast"]
 
@@ -140,6 +154,8 @@ class _NumericPlan:
         "diag_pos",
         "pos_ujk",
         "batches",
+        "program",
+        "stats",
     )
 
     as_nnz: int
@@ -151,6 +167,14 @@ class _NumericPlan:
     #: ``k`` ascending; the batches slice it, the solve plan reverses it
     pos_ujk: np.ndarray
     batches: list[_BatchPlan]
+    #: value-only level program for the speculative pass, one
+    #: ``(s_flat, piv_flat, l_flat, pos_ujk, pair_rows, pos_tgt)`` slice
+    #: tuple per level; None when it cannot be used (a missing diagonal,
+    #: or a schedule that does not order every ``U(j, k)`` pair)
+    program: list[tuple[np.ndarray, ...]] | None
+    #: the :class:`NumericStats` of every run that raises nothing and
+    #: perturbs nothing: they depend on the pattern alone
+    stats: NumericStats
 
     def matches(self, As: CSCMatrix, row_adjacency: CSRMatrix) -> bool:
         return (
@@ -273,6 +297,32 @@ def _target_streams(
     return l_flat, pos_tgt
 
 
+def _pivots_final(
+    lvl_off: np.ndarray,
+    cols_cat: np.ndarray,
+    pair_j: np.ndarray,
+    pair_k: np.ndarray,
+    diag_pos: np.ndarray,
+) -> bool:
+    """Whether each column's final diagonal is the pivot it was used at.
+
+    Only column ``j`` with ``U(j, k) != 0`` writes the diagonal of
+    ``k``, so that holds when every column is scheduled exactly once,
+    has a diagonal, and every ``U(j, k)`` pair has ``j`` in an earlier
+    level than ``k`` — true of every schedule levelized from the pattern.
+    """
+    n = len(diag_pos)
+    if len(cols_cat) != n or (diag_pos < 0).any():
+        return False
+    level_of = np.full(n, -1, dtype=np.int64)
+    level_of[cols_cat] = np.repeat(
+        np.arange(len(lvl_off) - 1, dtype=np.int64), np.diff(lvl_off)
+    )
+    if (level_of < 0).any():
+        return False
+    return bool((level_of[pair_j] < level_of[pair_k]).all())
+
+
 def _build_plan(
     As: CSCMatrix,
     row_adjacency: CSRMatrix,
@@ -343,8 +393,55 @@ def _build_plan(
     plan.pos_ujk = pos_ujk
     plan.batches = []
 
-    # updates before each level, for greedy level batches under the cap
-    lvl_exp = exp_off[pair_off[lvl_off]]
+    # per-level bounds of every stream, for the program and the stats
+    lvl_pair = pair_off[lvl_off]
+    lvl_exp = exp_off[lvl_pair]
+    lvl_scale = scale_off[lvl_off]
+    lvl_search = (
+        pair_search[lvl_pair]
+        if pair_search is not None
+        else np.zeros(len(lvl_off), dtype=np.int64)
+    )
+    n_scale, n_exp = np.diff(lvl_scale), np.diff(lvl_exp)
+    n_pair, n_search = np.diff(lvl_pair), np.diff(lvl_search)
+    plan.stats = NumericStats(
+        div_flops=int(lvl_scale[-1]),
+        update_flops=2 * int(lvl_exp[-1]),
+        search_steps=int(lvl_search[-1]),
+        columns=len(cols_cat),
+        sub_column_updates=int(lvl_pair[-1]),
+        per_level=list(
+            zip(
+                (n_scale + 2 * n_exp).tolist(),
+                np.diff(lvl_off).tolist(),
+                n_pair.tolist(),
+                n_search.tolist(),
+            )
+        ),
+    )
+    plan.program = None
+    if _pivots_final(lvl_off, cols_cat, pair_j, pair_k, diag_pos):
+        piv_flat = np.repeat(diag_pos[cols_cat], sc_cnt)
+        plan.program = [
+            (
+                s_flat[s0:s1],
+                piv_flat[s0:s1],
+                l_flat[e0:e1],
+                pos_ujk[p0:p1],
+                pair_rows[p0:p1],
+                pos_tgt[e0:e1],
+            )
+            for s0, s1, p0, p1, e0, e1 in zip(
+                lvl_scale[:-1].tolist(),
+                lvl_scale[1:].tolist(),
+                lvl_pair[:-1].tolist(),
+                lvl_pair[1:].tolist(),
+                lvl_exp[:-1].tolist(),
+                lvl_exp[1:].tolist(),
+            )
+        ]
+
+    # greedy level batches under the update cap
     start = 0
     while start < len(levels):
         stop = _greedy_stop(lvl_exp, start, _MAX_BATCH_UPDATES)
@@ -410,11 +507,57 @@ def factorize_in_place_fast(
     See that function for the parameter contract; this one only changes
     how fast the identical result is produced.
     """
-    from .rightlooking import NumericStats
-
     data = As.data
-    stats = NumericStats()
     plan = _plan_for(As, row_adjacency, schedule, count_search_steps)
+    if pivot_perturbation <= 0.0 and plan.program is not None:
+        backup = data.copy()
+        if _run_program(plan, data, pivot_tolerance):
+            return replace(
+                plan.stats,
+                per_level=list(plan.stats.per_level),
+                perturbed_columns=[],
+            )
+        data[:] = backup
+    return _checked_levels(
+        plan, data, pivot_tolerance, count_search_steps, pivot_perturbation
+    )
+
+
+def _run_program(
+    plan: _NumericPlan, data: np.ndarray, pivot_tolerance: float
+) -> bool:
+    """The speculative pass: every level's scale and update, unchecked.
+
+    Returns whether every pivot passed, checked at once on the final
+    diagonal (see :func:`_pivots_final`).  Any floating-point error also
+    fails the pass, so the checked loop reproduces its warnings.
+    """
+    try:
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
+            for s_pos, piv_pos, l_pos, u_pos, rows, tgt in plan.program:
+                if len(s_pos):
+                    data[s_pos] /= data[piv_pos]
+                if len(tgt):
+                    np.subtract.at(
+                        data, tgt, data[l_pos] * np.repeat(data[u_pos], rows)
+                    )
+    except FloatingPointError:
+        return False
+    pivots = data[plan.diag_pos].astype(np.float64)
+    return not bool((np.abs(pivots) <= pivot_tolerance).any())
+
+
+def _checked_levels(
+    plan: _NumericPlan,
+    data: np.ndarray,
+    pivot_tolerance: float,
+    count_search_steps: bool,
+    pivot_perturbation: float,
+) -> NumericStats:
+    """The checked level loop: pivots validated (or perturbed) level by
+    level, raising for the scalar oracle's column with its partial
+    mutations in place."""
+    stats = NumericStats()
     diag_pos = plan.diag_pos
 
     def _pivot_stage(cols: np.ndarray) -> tuple[int, int, float]:

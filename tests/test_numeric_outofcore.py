@@ -119,3 +119,20 @@ class TestPipelineAutoStreaming:
         # and the tight run streamed its symbolic output to the host
         assert (r_tight.gpu.ledger.get_count("bytes_d2h")
                 > r_roomy.gpu.ledger.get_count("bytes_d2h"))
+
+    def test_pipeline_rejects_supernodal_when_streaming(self):
+        """The streamed numeric executor charges only the per-column
+        schedule: ``supernodal=True`` must not be silently ignored."""
+        from repro import SolverConfig, factorize
+        from repro.errors import ConfigurationError
+
+        a = circuit_like(300, 7.0, seed=171)
+        kw = dict(device=scaled_device(96 << 10), host=scaled_host(16 << 20))
+        res = factorize(a, SolverConfig(**kw))
+        assert res.numeric.data_format == "csc-streamed"
+        with pytest.raises(ConfigurationError, match="supernodal"):
+            factorize(a, SolverConfig(supernodal=True, **kw))
+        # a device that holds the factors still runs the panel schedule
+        roomy = SolverConfig(supernodal=True, device=scaled_device(32 << 20),
+                             host=scaled_host(256 << 20))
+        assert factorize(a, roomy).numeric.numeric_path == "supernodal"
