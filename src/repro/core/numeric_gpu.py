@@ -226,15 +226,8 @@ def _launch_table(
     plan and reused while ``per_level`` matches the one it was built
     from.
     """
-    key = (fmt, cap, n, value_bytes, kernel_mode_override)
-    cache = getattr(schedule, "_launch_tables", None)
-    if cache is None:
-        cache = {}
-        try:
-            schedule._launch_tables = cache  # type: ignore[attr-defined]
-        except AttributeError:
-            pass  # schedule forbids attributes: build every time
-    hit = cache.get(key)
+    key = ("launch", fmt, cap, n, value_bytes, kernel_mode_override)
+    hit = schedule.plans.get(key)
     if hit is not None and hit[0] == per_level:
         return hit[1]
 
@@ -283,7 +276,7 @@ def _launch_table(
             # results back: 2 x n x sizeof(dtype) HBM traffic per column
             flops, blocks, search, _ = launches[-1]
             launches[-1] = (flops, blocks, search, 2 * cols * n * value_bytes)
-    cache[key] = (list(per_level), launches)
+    schedule.plans[key] = (list(per_level), launches)
     return launches
 
 
@@ -431,9 +424,7 @@ def numeric_factorize_gpu(
             count_search_steps=(fmt == "csc"),
         )
         if not config.slow_host_loops:
-            solve_plan.with_streams(
-                As, filled, schedule, count_search_steps=(fmt == "csc")
-            )
+            solve_plan.with_streams(As, filled, schedule)
 
         if plan is not None:
             # the panel schedule conserves the oracle's measured work

@@ -185,9 +185,7 @@ def numeric_factorize_outofcore(
             count_search_steps=True,
         )
         if not config.slow_host_loops:
-            solve_plan.with_streams(
-                As, filled, schedule, count_search_steps=True
-            )
+            solve_plan.with_streams(As, filled, schedule)
 
         sub_cols = sub_column_counts(filled)
         tags = schedule.classify_levels(sub_cols)

@@ -51,6 +51,13 @@ class LevelSchedule:
 
     level_of: np.ndarray  # level id per column
     levels: list[np.ndarray] = field(default_factory=list)  # columns per level
+    #: structure-only plans cached by kind ("numeric", "solve",
+    #: ("supernodal", ...), ("launch", ...)): a schedule is born from
+    #: exactly one filled pattern, so everything derived from the two
+    #: may live on it
+    plans: dict = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if not self.levels and len(self.level_of):

@@ -361,21 +361,14 @@ def supernodal_plan_for(
     :func:`repro.core.refactorize.analyze` pre-warmed the plan — charge
     nothing, mirroring how real solvers amortize analysis.
     """
-    cache = getattr(schedule, "_supernodal_plans", None)
-    if cache is None:
-        cache = {}
-        try:
-            schedule._supernodal_plans = cache  # type: ignore[attr-defined]
-        except AttributeError:
-            pass  # schedule forbids attributes: build every time
-    key = (int(relax), int(max_panel), int(tile_elems))
-    plan = cache.get(key)
+    key = ("supernodal", int(relax), int(max_panel), int(tile_elems))
+    plan = schedule.plans.get(key)
     if plan is not None and plan.matches(filled):
         return plan
     plan = build_supernodal_plan(
         filled, relax=relax, max_panel=max_panel, tile_elems=tile_elems
     )
-    cache[key] = plan
+    schedule.plans[key] = plan
     if gpu is not None:
         with gpu.ledger.phase("panelize"):
             gpu.ledger.charge(

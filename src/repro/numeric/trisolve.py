@@ -117,14 +117,12 @@ class SolvePlan:
         As: CSCMatrix,
         filled: CSRMatrix,
         schedule: LevelSchedule,
-        *,
-        count_search_steps: bool,
     ) -> SolvePlan:
         """Add the level streams (once), sharing the ``U(j, k)`` stream
         of the numeric plan the fast kernel cached for ``As``."""
         if self.streams is not None:
             return self
-        pos_ujk = _plan_for(As, filled, schedule, count_search_steps).pos_ujk
+        pos_ujk = _plan_for(As, filled, schedule).pos_ujk
         n, nnz = self.n, self.nnz
         r_indptr = filled.indptr.astype(np.int64, copy=False)
         r_indices = filled.indices.astype(np.int64, copy=False)
@@ -219,7 +217,7 @@ def solve_plan_for(filled: CSRMatrix, schedule: LevelSchedule) -> SolvePlan:
     schedule puts ``min(i, j)`` on an earlier level than ``max(i, j)``
     for every off-diagonal entry ``(i, j)``.
     """
-    plan = getattr(schedule, "_solve_plan", None)
+    plan = schedule.plans.get("solve")
     if plan is not None and plan.matches(filled):
         return plan
     n = filled.n_rows
@@ -246,10 +244,7 @@ def solve_plan_for(filled: CSRMatrix, schedule: LevelSchedule) -> SolvePlan:
         csc_indptr=indptr,
         csc_indices=_compact(rows[order], n),
     )
-    try:
-        schedule._solve_plan = plan  # type: ignore[attr-defined]
-    except AttributeError:
-        pass  # schedule forbids attributes: build every time
+    schedule.plans["solve"] = plan
     return plan
 
 

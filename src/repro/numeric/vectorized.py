@@ -23,35 +23,38 @@ host analogue of the paper's dense-format numeric (§3.4): the window
 is small on the host, so it needs none of the binary searches the
 sorted-CSC kernel (Alg. 6) pays for to save device memory.  Only the
 multipliers ``U(j, k)``, one per pair, are found by one batched search
-of the globally sorted keys ``col * n + row``.  The whole streams are
-then sliced into level-batches bounded by :data:`_MAX_BATCH_UPDATES`.
+of the globally sorted keys ``col * n + row``.
 
-That structure-only *plan* is cached on the schedule object: repeated
-refactorizations of the same pattern (the serving tier's bread and
-butter, and how real solvers amortize analysis across solves) skip the
-precompute entirely.  The plan also holds a value-only *level program*
-— per level, slices of the streams plus one pivot-position stream (one
-int per ``L`` entry) — and the pattern's :class:`NumericStats`, which
-values cannot change either.  Pivots are therefore checked
-speculatively: without pivot perturbation, a refactorization backs up
-the values once and runs only each level's arithmetic,
+The streams are built whole, in schedule order, and cut into one *level
+table*: per level, one ``(s_flat, piv_flat, l_flat, pos_ujk, pair_rows,
+pos_tgt)`` tuple of slices.  Each level runs the same two steps,
 
 * **scale** — ``data[s] /= data[piv]`` over the level's sub-diagonals;
 * **update** — gather multipliers and ``U`` entries through the
   position streams and apply with ``np.subtract.at``, which accumulates
   repeated targets in array order, i.e. exactly the scalar loop's
-  update order, so floating-point results match bitwise;
+  update order, so floating-point results match bitwise.
 
-then tests every pivot at once on the final diagonal.  That is sound
-because only a column ``j`` with ``U(j, k) != 0`` writes the diagonal of
-``k``, always in an earlier level, so the final diagonal is the pivot
-that was used.  On success the cached stats are copied.  If a pivot
-fails the tolerance, or any operation raises a floating-point error,
-the values are restored and the *checked* level loop runs instead: it
-validates (or perturbs) each level's pivots before using them and raises
-for the scalar oracle's column, with the scalar path's partial
-mutations for the columns before it.  Pivot perturbation and a missing
-diagonal always take the checked loop.
+That structure-only *plan*, with the pattern's :class:`NumericStats`
+(values cannot change them either), is cached on the schedule object:
+repeated refactorizations of the same pattern (the serving tier's bread
+and butter, and how real solvers amortize analysis across solves) skip
+the precompute entirely.  Two passes run the level table:
+
+* the **unchecked** pass, taken without pivot perturbation: back up the
+  values once, run every level, then test every pivot at once on the
+  final diagonal.  That is sound because only a column ``j`` with
+  ``U(j, k) != 0`` writes the diagonal of ``k``, always in an earlier
+  level, so the final diagonal is the pivot that was used.
+* the **checked** pass, taken with pivot perturbation, a missing
+  diagonal, or after the unchecked pass failed a pivot or raised a
+  floating-point error (the values are restored first): it validates
+  (or perturbs) each level's pivots before using them and raises for
+  the scalar oracle's column, with the scalar path's partial mutations
+  for the columns before it.
+
+A run that returns has processed every level, so its stats are the
+plan's.
 
 Bitwise equivalence relies on the schedule carrying GLU 3.0's *full*
 dependency set (``include_l_dependencies=True``, the library default):
@@ -75,11 +78,6 @@ from .rightlooking import NumericStats
 
 __all__ = ["factorize_in_place_fast"]
 
-#: cap on the flattened update-position stream precomputed per level
-#: batch; levels are processed strictly in order within and across
-#: batches, so batching never reorders the floating-point update stream.
-_MAX_BATCH_UPDATES = 1 << 22
-
 #: entries of the dense target-column window: a block of target columns
 #: spans at most ``_WINDOW_ENTRIES // n`` columns (at least one)
 _WINDOW_ENTRIES = 1 << 18
@@ -99,81 +97,59 @@ def _diag_positions(
     return diag_pos
 
 
-class _BatchPlan:
-    """Precomputed position streams for one greedy level-batch."""
-
-    __slots__ = (
-        "cols_cat",
-        "col_off",
-        "pair_off",
-        "exp_off",
-        "scale_off",
-        "s_flat",
-        "l_flat",
-        "pos_ujk",
-        "pos_tgt",
-        "pair_rows",
-        "sc_cnt",
-        "pair_search",
-    )
-
-    cols_cat: np.ndarray
-    col_off: np.ndarray
-    pair_off: np.ndarray
-    exp_off: np.ndarray
-    scale_off: np.ndarray
-    s_flat: np.ndarray
-    l_flat: np.ndarray
-    pos_ujk: np.ndarray
-    pos_tgt: np.ndarray
-    pair_rows: np.ndarray
-    sc_cnt: np.ndarray
-    pair_search: np.ndarray | None
-
-
 class _NumericPlan:
     """Everything about a factorization that values cannot change.
 
-    Built once per (pattern, schedule, ``count_search_steps``) and
-    cached on the schedule object, so refactorizing the same structure
-    with new values pays only the value passes.  The kernel's contract
-    is that ``As`` is the sorted CSC of the filled pattern the schedule
-    was levelized from and ``row_adjacency`` its CSR — a schedule is
-    born from exactly one pattern, so caching on it is sound, and
-    ``matches`` only cross-checks the cheap structural invariants
-    (dimension and entry counts) to catch contract violations.  Array
-    *identity* is deliberately not used: the refactorization path
-    re-wraps the shared pattern arrays in fresh view objects each pass.
+    Built once per (pattern, schedule) and cached on the schedule
+    object, so refactorizing the same structure with new values pays
+    only the value passes.  The kernel's contract is that ``As`` is the
+    sorted CSC of the filled pattern the schedule was levelized from and
+    ``row_adjacency`` its CSR — a schedule is born from exactly one
+    pattern, so caching on it is sound, and ``matches`` only
+    cross-checks the cheap structural invariants (dimension and entry
+    counts) to catch contract violations.  Array *identity* is
+    deliberately not used: the refactorization path re-wraps the shared
+    pattern arrays in fresh view objects each pass.
     """
 
     __slots__ = (
         "as_nnz",
         "ra_nnz",
-        "count_search_steps",
         "n",
         "diag_pos",
+        "cols_cat",
+        "lvl_off",
+        "scale_off",
+        "pair_off",
+        "exp_off",
         "pos_ujk",
-        "batches",
-        "program",
+        "levels",
+        "pivots_final",
         "stats",
     )
 
     as_nnz: int
     ra_nnz: int
-    count_search_steps: bool
     n: int
     diag_pos: np.ndarray
+    #: scheduled columns in level order, and each level's slice of them
+    cols_cat: np.ndarray
+    lvl_off: np.ndarray
+    #: per column, its slice of the scale stream and of the pairs; per
+    #: pair, its slice of the update stream
+    scale_off: np.ndarray
+    pair_off: np.ndarray
+    exp_off: np.ndarray
     #: CSC position of every ``U(j, k)``: rows ``j`` in schedule order,
-    #: ``k`` ascending; the batches slice it, the solve plan reverses it
+    #: ``k`` ascending; the solve plan reverses it
     pos_ujk: np.ndarray
-    batches: list[_BatchPlan]
-    #: value-only level program for the speculative pass, one
-    #: ``(s_flat, piv_flat, l_flat, pos_ujk, pair_rows, pos_tgt)`` slice
-    #: tuple per level; None when it cannot be used (a missing diagonal,
-    #: or a schedule that does not order every ``U(j, k)`` pair)
-    program: list[tuple[np.ndarray, ...]] | None
-    #: the :class:`NumericStats` of every run that raises nothing and
-    #: perturbs nothing: they depend on the pattern alone
+    #: the level table both passes run: one ``(s_flat, piv_flat, l_flat,
+    #: pos_ujk, pair_rows, pos_tgt)`` slice tuple per level
+    levels: list[tuple[np.ndarray, ...]]
+    #: whether the unchecked pass may run (see :func:`_pivots_final`)
+    pivots_final: bool
+    #: the :class:`NumericStats` of every run that raises nothing, with
+    #: search steps counted and nothing perturbed
     stats: NumericStats
 
     def matches(self, As: CSCMatrix, row_adjacency: CSRMatrix) -> bool:
@@ -327,7 +303,6 @@ def _build_plan(
     As: CSCMatrix,
     row_adjacency: CSRMatrix,
     schedule: LevelSchedule,
-    count_search_steps: bool,
 ) -> _NumericPlan:
     indptr = As.indptr.astype(np.int64, copy=False)
     indices = As.indices
@@ -353,8 +328,8 @@ def _build_plan(
     sc_start = np.searchsorted(r_keys, ar * n + ar, side="right")
     sc_len = r_indptr[1:] - sc_start
 
-    # every stream is built whole, in schedule order, then sliced into
-    # level batches: columns -> (j, k) sub-column pairs -> row updates
+    # every stream is built whole, in schedule order, then cut per
+    # level: columns -> (j, k) sub-column pairs -> row updates
     levels = [np.asarray(lv, dtype=np.int64) for lv in schedule.levels]
     cols_cat = (
         np.concatenate(levels) if levels else np.empty(0, dtype=np.int64)
@@ -377,31 +352,33 @@ def _build_plan(
     sc_cnt = sub_len[cols_cat]
     scale_off = _offsets(sc_cnt)
     s_flat = concat_ranges(sub_start[cols_cat], sc_cnt)
-    pair_search: np.ndarray | None = None
-    if count_search_steps:
-        probe_depth = np.maximum(
-            1, np.ceil(np.log2(np.maximum(2, col_nnz))).astype(np.int64)
-        )
-        pair_search = _offsets(pair_rows * probe_depth[pair_k])
+    piv_flat = np.repeat(diag_pos[cols_cat], sc_cnt)
+    # Algorithm 6's probes: log2(col nnz) per update into column k
+    probe_depth = np.maximum(
+        1, np.ceil(np.log2(np.maximum(2, col_nnz))).astype(np.int64)
+    )
+    search_off = _offsets(pair_rows * probe_depth[pair_k])
 
     plan = _NumericPlan()
     plan.as_nnz = As.nnz
     plan.ra_nnz = row_adjacency.nnz
-    plan.count_search_steps = count_search_steps
     plan.n = n
     plan.diag_pos = diag_pos
+    plan.cols_cat = cols_cat
+    plan.lvl_off = lvl_off
+    plan.scale_off = scale_off
+    plan.pair_off = pair_off
+    plan.exp_off = exp_off
     plan.pos_ujk = pos_ujk
-    plan.batches = []
+    plan.pivots_final = _pivots_final(
+        lvl_off, cols_cat, pair_j, pair_k, diag_pos
+    )
 
-    # per-level bounds of every stream, for the program and the stats
+    # per-level bounds of every stream, for the table and the stats
     lvl_pair = pair_off[lvl_off]
     lvl_exp = exp_off[lvl_pair]
     lvl_scale = scale_off[lvl_off]
-    lvl_search = (
-        pair_search[lvl_pair]
-        if pair_search is not None
-        else np.zeros(len(lvl_off), dtype=np.int64)
-    )
+    lvl_search = search_off[lvl_pair]
     n_scale, n_exp = np.diff(lvl_scale), np.diff(lvl_exp)
     n_pair, n_search = np.diff(lvl_pair), np.diff(lvl_search)
     plan.stats = NumericStats(
@@ -419,78 +396,52 @@ def _build_plan(
             )
         ),
     )
-    plan.program = None
-    if _pivots_final(lvl_off, cols_cat, pair_j, pair_k, diag_pos):
-        piv_flat = np.repeat(diag_pos[cols_cat], sc_cnt)
-        plan.program = [
-            (
-                s_flat[s0:s1],
-                piv_flat[s0:s1],
-                l_flat[e0:e1],
-                pos_ujk[p0:p1],
-                pair_rows[p0:p1],
-                pos_tgt[e0:e1],
-            )
-            for s0, s1, p0, p1, e0, e1 in zip(
-                lvl_scale[:-1].tolist(),
-                lvl_scale[1:].tolist(),
-                lvl_pair[:-1].tolist(),
-                lvl_pair[1:].tolist(),
-                lvl_exp[:-1].tolist(),
-                lvl_exp[1:].tolist(),
-            )
-        ]
-
-    # greedy level batches under the update cap
-    start = 0
-    while start < len(levels):
-        stop = _greedy_stop(lvl_exp, start, _MAX_BATCH_UPDATES)
-        c0, c1 = int(lvl_off[start]), int(lvl_off[stop])
-        p0, p1 = int(pair_off[c0]), int(pair_off[c1])
-        e0, e1 = int(exp_off[p0]), int(exp_off[p1])
-        s0, s1 = int(scale_off[c0]), int(scale_off[c1])
-
-        b = _BatchPlan()
-        b.cols_cat = cols_cat[c0:c1]
-        b.col_off = lvl_off[start : stop + 1] - c0
-        b.pair_off = pair_off[c0 : c1 + 1] - p0
-        b.pos_ujk = pos_ujk[p0:p1]
-        b.pair_rows = pair_rows[p0:p1]
-        b.exp_off = exp_off[p0 : p1 + 1] - e0
-        b.l_flat = l_flat[e0:e1]
-        b.pos_tgt = pos_tgt[e0:e1]
-        b.sc_cnt = sc_cnt[c0:c1]
-        b.scale_off = scale_off[c0 : c1 + 1] - s0
-        b.s_flat = s_flat[s0:s1]
-        b.pair_search = (
-            None
-            if pair_search is None
-            else pair_search[p0 : p1 + 1] - pair_search[p0]
+    plan.levels = [
+        (
+            s_flat[s0:s1],
+            piv_flat[s0:s1],
+            l_flat[e0:e1],
+            pos_ujk[p0:p1],
+            pair_rows[p0:p1],
+            pos_tgt[e0:e1],
         )
-        plan.batches.append(b)
-        start = stop
+        for s0, s1, p0, p1, e0, e1 in zip(
+            lvl_scale[:-1].tolist(),
+            lvl_scale[1:].tolist(),
+            lvl_pair[:-1].tolist(),
+            lvl_pair[1:].tolist(),
+            lvl_exp[:-1].tolist(),
+            lvl_exp[1:].tolist(),
+        )
+    ]
     return plan
 
 
 def _plan_for(
-    As: CSCMatrix,
-    row_adjacency: CSRMatrix,
-    schedule: LevelSchedule,
-    count_search_steps: bool,
+    As: CSCMatrix, row_adjacency: CSRMatrix, schedule: LevelSchedule
 ) -> _NumericPlan:
-    cache = getattr(schedule, "_numeric_plans", None)
-    if cache is None:
-        cache = {}
-        try:
-            schedule._numeric_plans = cache  # type: ignore[attr-defined]
-        except AttributeError:
-            pass  # schedule forbids attributes: build every time
-    plan = cache.get(count_search_steps)
-    if plan is not None and plan.matches(As, row_adjacency):
-        return plan
-    plan = _build_plan(As, row_adjacency, schedule, count_search_steps)
-    cache[count_search_steps] = plan
+    plan = schedule.plans.get("numeric")
+    if plan is None or not plan.matches(As, row_adjacency):
+        plan = _build_plan(As, row_adjacency, schedule)
+        schedule.plans["numeric"] = plan
     return plan
+
+
+def _stats_of(
+    plan: _NumericPlan, count_search_steps: bool, perturbed: list[int]
+) -> NumericStats:
+    """A fresh copy of the plan's stats, for a run that returned."""
+    stats = plan.stats
+    if count_search_steps:
+        per_level = list(stats.per_level)
+    else:
+        per_level = [(f, c, u, 0) for f, c, u, _ in stats.per_level]
+    return replace(
+        stats,
+        search_steps=stats.search_steps if count_search_steps else 0,
+        per_level=per_level,
+        perturbed_columns=perturbed,
+    )
 
 
 def factorize_in_place_fast(
@@ -508,25 +459,38 @@ def factorize_in_place_fast(
     how fast the identical result is produced.
     """
     data = As.data
-    plan = _plan_for(As, row_adjacency, schedule, count_search_steps)
-    if pivot_perturbation <= 0.0 and plan.program is not None:
+    plan = _plan_for(As, row_adjacency, schedule)
+    if pivot_perturbation <= 0.0 and plan.pivots_final:
         backup = data.copy()
         if _run_program(plan, data, pivot_tolerance):
-            return replace(
-                plan.stats,
-                per_level=list(plan.stats.per_level),
-                perturbed_columns=[],
-            )
+            return _stats_of(plan, count_search_steps, [])
         data[:] = backup
-    return _checked_levels(
-        plan, data, pivot_tolerance, count_search_steps, pivot_perturbation
+    perturbed = _checked_levels(
+        plan, data, pivot_tolerance, pivot_perturbation
     )
+    return _stats_of(plan, count_search_steps, perturbed)
+
+
+def _run_level(
+    data: np.ndarray,
+    s_pos: np.ndarray,
+    piv_pos: np.ndarray,
+    l_pos: np.ndarray,
+    u_pos: np.ndarray,
+    rows: np.ndarray,
+    tgt: np.ndarray,
+) -> None:
+    """One level's scale and update steps."""
+    if len(s_pos):
+        data[s_pos] /= data[piv_pos]
+    if len(tgt):
+        np.subtract.at(data, tgt, data[l_pos] * np.repeat(data[u_pos], rows))
 
 
 def _run_program(
     plan: _NumericPlan, data: np.ndarray, pivot_tolerance: float
 ) -> bool:
-    """The speculative pass: every level's scale and update, unchecked.
+    """The unchecked pass: every level's scale and update.
 
     Returns whether every pivot passed, checked at once on the final
     diagonal (see :func:`_pivots_final`).  Any floating-point error also
@@ -534,13 +498,8 @@ def _run_program(
     """
     try:
         with np.errstate(divide="raise", over="raise", invalid="raise"):
-            for s_pos, piv_pos, l_pos, u_pos, rows, tgt in plan.program:
-                if len(s_pos):
-                    data[s_pos] /= data[piv_pos]
-                if len(tgt):
-                    np.subtract.at(
-                        data, tgt, data[l_pos] * np.repeat(data[u_pos], rows)
-                    )
+            for level in plan.levels:
+                _run_level(data, *level)
     except FloatingPointError:
         return False
     pivots = data[plan.diag_pos].astype(np.float64)
@@ -551,23 +510,16 @@ def _checked_levels(
     plan: _NumericPlan,
     data: np.ndarray,
     pivot_tolerance: float,
-    count_search_steps: bool,
     pivot_perturbation: float,
-) -> NumericStats:
-    """The checked level loop: pivots validated (or perturbed) level by
-    level, raising for the scalar oracle's column with its partial
-    mutations in place."""
-    stats = NumericStats()
-    diag_pos = plan.diag_pos
-
-    def _pivot_stage(cols: np.ndarray) -> tuple[int, int, float]:
-        """Perturb/validate pivots of ``cols`` in order.
-
-        Returns ``(prefix_len, fail_column, fail_pivot)`` where the
-        prefix covers the whole level on success; on failure it counts
-        the columns the scalar path would have completed before raising
-        for ``fail_column``.
-        """
+) -> list[int]:
+    """The checked pass: pivots validated (or perturbed) level by level,
+    raising for the scalar oracle's column with its partial mutations in
+    place.  Returns the perturbed columns."""
+    perturbed: list[int] = []
+    diag_pos, cols_cat, lvl_off = plan.diag_pos, plan.cols_cat, plan.lvl_off
+    for i, level in enumerate(plan.levels):
+        c0, c1 = int(lvl_off[i]), int(lvl_off[i + 1])
+        cols = cols_cat[c0:c1]
         pos = diag_pos[cols]
         missing = pos < 0
         vals = (
@@ -592,56 +544,20 @@ def _checked_levels(
                     pivot_perturbation,
                 )
                 data[pos[to_fix]] = fixed.astype(data.dtype)
-                stats.perturbed_columns.extend(
-                    int(c) for c in cols[to_fix]
-                )
-        if first == len(cols):
-            return len(cols), -1, 0.0
-        fail_col = int(cols[first])
-        fail_piv = 0.0 if missing[first] else float(piv64[first])
-        return first, fail_col, fail_piv
-
-    for b in plan.batches:
-        cols_cat = b.cols_cat
-        col_off = b.col_off
-        scale_off = b.scale_off
-        pair_off = b.pair_off
-        exp_off = b.exp_off
-
-        # -- value passes, one level at a time, in schedule order --
-        for i in range(len(col_off) - 1):
-            c0, c1 = int(col_off[i]), int(col_off[i + 1])
-            cols = cols_cat[c0:c1]
-            prefix_len, fail_col, fail_piv = _pivot_stage(cols)
-            ce = c0 + prefix_len
-            s0, s1 = int(scale_off[c0]), int(scale_off[ce])
-            p0, p1 = int(pair_off[c0]), int(pair_off[ce])
-            e0, e1 = int(exp_off[p0]), int(exp_off[p1])
-            if s1 > s0:
-                data[b.s_flat[s0:s1]] /= np.repeat(
-                    data[diag_pos[cols[:prefix_len]]], b.sc_cnt[c0:ce]
-                )
-            if e1 > e0:
-                contrib = data[b.l_flat[e0:e1]] * np.repeat(
-                    data[b.pos_ujk[p0:p1]], b.pair_rows[p0:p1]
-                )
-                np.subtract.at(data, b.pos_tgt[e0:e1], contrib)
-            stats.div_flops += s1 - s0
-            stats.update_flops += 2 * (e1 - e0)
-            stats.columns += prefix_len
-            stats.sub_column_updates += p1 - p0
-            search = 0
-            if count_search_steps:
-                search = int(b.pair_search[p1] - b.pair_search[p0])
-                stats.search_steps += search
-            if fail_col >= 0:
-                # the scalar loop raises mid-level: the preceding
-                # columns are fully processed, the partial level never
-                # reaches ``per_level``
-                if diag_pos[fail_col] < 0:
-                    raise SingularMatrixError(fail_col)
-                raise SingularMatrixError(fail_col, fail_piv)
-            stats.per_level.append(
-                (s1 - s0 + 2 * (e1 - e0), len(cols), p1 - p0, search)
-            )
-    return stats
+                perturbed.extend(int(c) for c in cols[to_fix])
+        if first < len(cols):
+            # the scalar loop raises mid-level: only the columns before
+            # the failing one are processed
+            ce = c0 + first
+            p0, p1 = int(plan.pair_off[c0]), int(plan.pair_off[ce])
+            s = int(plan.scale_off[ce] - plan.scale_off[c0])
+            e = int(plan.exp_off[p1] - plan.exp_off[p0])
+            cut = (s, s, e, p1 - p0, p1 - p0, e)
+            level = tuple(a[:k] for a, k in zip(level, cut))
+        _run_level(data, *level)
+        if first < len(cols):
+            fail_col = int(cols[first])
+            if missing[first]:
+                raise SingularMatrixError(fail_col)
+            raise SingularMatrixError(fail_col, float(piv64[first]))
+    return perturbed

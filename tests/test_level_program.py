@@ -63,12 +63,11 @@ def _stats_tuple(s):
 def _checked(filled, schedule, data, *, pivot_tolerance=0.0,
              count_search_steps=False, pivot_perturbation=0.0):
     """The checked level loop alone, on ``data`` (mutated in place)."""
-    plan = vectorized._plan_for(
-        filled.to_csc(), filled, schedule, count_search_steps
+    plan = vectorized._plan_for(filled.to_csc(), filled, schedule)
+    perturbed = vectorized._checked_levels(
+        plan, data, pivot_tolerance, pivot_perturbation
     )
-    return vectorized._checked_levels(
-        plan, data, pivot_tolerance, count_search_steps, pivot_perturbation
-    )
+    return vectorized._stats_of(plan, count_search_steps, perturbed)
 
 
 def _no_fallback(monkeypatch):
@@ -206,8 +205,8 @@ def test_exact_zero_pivot_mid_factorization(seed):
         _exact_lu_matrix(n, zero_at, seed)
     )
     assert schedule.level_of[zero_at] > 0, "the zero must come from updates"
-    plan = vectorized._plan_for(filled.to_csc(), filled, schedule, False)
-    assert plan.program is not None
+    plan = vectorized._plan_for(filled.to_csc(), filled, schedule)
+    assert plan.pivots_final
     err = _assert_same_failure(filled, schedule)
     assert err.column == zero_at and err.value == 0.0
 
@@ -294,8 +293,8 @@ def test_missing_diagonal_takes_checked_loop(monkeypatch):
     with pytest.raises(SingularMatrixError) as want:
         factorize_in_place(filled.to_csc(), filled, schedule, slow=True)
     assert want.value.column == 2
-    plan = vectorized._plan_for(filled.to_csc(), filled, schedule, False)
-    assert plan.program is None
+    plan = vectorized._plan_for(filled.to_csc(), filled, schedule)
+    assert not plan.pivots_final
     _no_program(monkeypatch)
     with pytest.raises(SingularMatrixError) as err:
         factorize_in_place(filled.to_csc(), filled, schedule)
@@ -308,8 +307,8 @@ def test_unordered_schedule_takes_checked_loop():
     a = circuit_like(80, 5.0, seed=4)
     filled = symbolic_fill_reference(a)
     flat = LevelSchedule(level_of=np.zeros(a.n_rows, dtype=np.int64))
-    plan = vectorized._plan_for(filled.to_csc(), filled, flat, False)
-    assert plan.program is None
+    plan = vectorized._plan_for(filled.to_csc(), filled, flat)
+    assert not plan.pivots_final
 
 
 # ---------------------------------------------------------------------------
@@ -382,12 +381,16 @@ def test_launch_table_reused_across_refactorize_passes():
     a = circuit_like(200, 7.0, seed=6)
     an = analyze(a)
     an.refactorize(a)
-    tables = an.schedule._launch_tables
-    assert len(tables) == 1
-    (key, (_, launches)), = tables.items()
+    plans = an.schedule.plans
+
+    def launch_keys():
+        return [k for k in plans if k[0] == "launch"]
+
+    (key,) = launch_keys()
+    launches = plans[key][1]
     an.refactorize(a)
-    assert tables[key][1] is launches
-    assert len(tables) == 1
+    assert plans[key][1] is launches
+    assert launch_keys() == [key]
 
 
 def test_launch_table_rebuilt_per_cap_and_mode():

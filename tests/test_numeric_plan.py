@@ -3,12 +3,13 @@
 :func:`repro.numeric.vectorized._build_plan` resolves every update
 target through a dense target-column window instead of searching for
 it.  Here every plan is rebuilt with the direct formula — one binary
-search of the sorted CSC keys ``col * n + row`` per update target,
-batch by batch — and every :class:`_BatchPlan` array must be equal,
-with the window, block and batch caps shrunk so that many
-target-column blocks and level batches are crossed.  A filled pattern
-missing one entry must raise :class:`SparseFormatError` on the fast
-plan build and on the scalar oracle alike.
+search of the sorted CSC keys ``col * n + row`` per update target, over
+the whole streams in one pass — and the plan's offsets, every slice of
+its level table and its per-level search counts must be equal, with the
+window and block caps shrunk so that many target-column blocks are
+crossed.  One plan serves every search mode of a schedule.  A filled
+pattern missing one entry must raise :class:`SparseFormatError` on the
+fast plan build and on the scalar oracle alike.
 """
 
 import os
@@ -19,7 +20,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.core import SolverConfig
+from repro.core.numeric_gpu import numeric_factorize_gpu
 from repro.errors import SparseFormatError
+from repro.gpusim import GPU
 from repro.graph import build_dependency_graph, levelize_cpu
 from repro.graph.levelize import LevelSchedule
 from repro.numeric import vectorized
@@ -28,12 +32,23 @@ from repro.sparse import CSRMatrix
 from repro.symbolic import symbolic_fill_reference
 from repro.workloads.generators import circuit_like, fem_like
 
-_FIELDS = vectorized._BatchPlan.__slots__
+#: the plan's whole arrays, and the level table's fields in tuple order
+_WHOLE = ("cols_cat", "lvl_off", "pair_off", "exp_off", "scale_off",
+          "pos_ujk")
+_TABLE = ("s_flat", "piv_flat", "l_flat", "pos_ujk", "pair_rows",
+          "pos_tgt")
 
 
-def _reference_batches(As, row_adjacency, schedule, count_search_steps,
-                       max_batch):
-    """The plan arrays, with one ``searchsorted`` per update target."""
+def _stats_tuple(s):
+    return (
+        s.div_flops, s.update_flops, s.search_steps, s.columns,
+        s.sub_column_updates, tuple(s.per_level),
+        tuple(s.perturbed_columns),
+    )
+
+
+def _reference_streams(As, row_adjacency, schedule):
+    """The plan's streams, with one ``searchsorted`` per update target."""
     n = As.n_cols
     indptr = As.indptr.astype(np.int64)
     indices = As.indices.astype(np.int64)
@@ -67,63 +82,67 @@ def _reference_batches(As, row_adjacency, schedule, count_search_steps,
         return pos.astype(np.int64)
 
     levels = [np.asarray(lv, dtype=np.int64) for lv in schedule.levels]
-    work = [sum(len(sub_cols[j]) * sub_len[j] for j in lv) for lv in levels]
-    batches, start = [], 0
-    while start < len(levels):
-        stop, total = start + 1, work[start]
-        while stop < len(levels) and total + work[stop] <= max_batch:
-            total += work[stop]
-            stop += 1
-        cols = np.concatenate(levels[start:stop])
-        pair_j = np.repeat(cols, [len(sub_cols[j]) for j in cols])
-        pair_k = np.concatenate(
-            [np.empty(0, np.int64), *(sub_cols[j] for j in cols)]
-        )
-        pair_rows = sub_len[pair_j]
-        l_flat = ranges(sub_start[pair_j], pair_rows)
-        sc_cnt = sub_len[cols]
-        batches.append(
-            {
-                "cols_cat": cols,
-                "col_off": offsets([len(lv) for lv in levels[start:stop]]),
-                "pair_off": offsets([len(sub_cols[j]) for j in cols]),
-                "exp_off": offsets(pair_rows),
-                "scale_off": offsets(sc_cnt),
-                "s_flat": ranges(sub_start[cols], sc_cnt),
-                "l_flat": l_flat,
-                "pos_ujk": search(pair_k * n + pair_j),
-                "pos_tgt": search(
-                    np.repeat(pair_k, pair_rows) * n + indices[l_flat]
-                ),
-                "pair_rows": pair_rows,
-                "sc_cnt": sc_cnt,
-                "pair_search": (
-                    offsets(pair_rows * depth[pair_k])
-                    if count_search_steps
-                    else None
-                ),
-            }
-        )
-        start = stop
-    return batches
+    cols = np.concatenate([np.empty(0, np.int64), *levels])
+    pair_j = np.repeat(cols, [len(sub_cols[j]) for j in cols])
+    pair_k = np.concatenate(
+        [np.empty(0, np.int64), *(sub_cols[j] for j in cols)]
+    )
+    pair_rows = sub_len[pair_j]
+    l_flat = ranges(sub_start[pair_j], pair_rows)
+    sc_cnt = sub_len[cols]
+    return {
+        "cols_cat": cols,
+        "lvl_off": offsets([len(lv) for lv in levels]),
+        "pair_off": offsets([len(sub_cols[j]) for j in cols]),
+        "exp_off": offsets(pair_rows),
+        "scale_off": offsets(sc_cnt),
+        "s_flat": ranges(sub_start[cols], sc_cnt),
+        "piv_flat": np.repeat(diag[cols], sc_cnt),
+        "l_flat": l_flat,
+        "pos_ujk": search(pair_k * n + pair_j),
+        "pos_tgt": search(
+            np.repeat(pair_k, pair_rows) * n + indices[l_flat]
+        ),
+        "pair_rows": pair_rows,
+        "pair_search": pair_rows * depth[pair_k],
+    }
 
 
 def _assert_plan_matches(filled, schedule, count_search_steps):
+    """The plan equals the reference, and its stats, read in the given
+    search mode, carry the reference's per-level probe counts."""
     As = filled.to_csc()
-    plan = vectorized._build_plan(As, filled, schedule, count_search_steps)
-    ref = _reference_batches(
-        As, filled, schedule, count_search_steps,
-        vectorized._MAX_BATCH_UPDATES,
-    )
-    assert len(plan.batches) == len(ref)
-    for got, want in zip(plan.batches, ref):
-        for name in _FIELDS:
-            arr = getattr(got, name)
-            if want[name] is None:
-                assert arr is None, name
-                continue
+    plan = vectorized._build_plan(As, filled, schedule)
+    ref = _reference_streams(As, filled, schedule)
+    for name in _WHOLE:
+        arr = getattr(plan, name)
+        assert arr.dtype == np.int64, name
+        assert np.array_equal(arr, ref[name]), name
+    lvl_off, pair_off = ref["lvl_off"], ref["pair_off"]
+    exp_off, scale_off = ref["exp_off"], ref["scale_off"]
+    assert len(plan.levels) == len(lvl_off) - 1
+    searches = []
+    for i, level in enumerate(plan.levels):
+        c0, c1 = lvl_off[i], lvl_off[i + 1]
+        p0, p1 = pair_off[c0], pair_off[c1]
+        bounds = {
+            "s_flat": (scale_off[c0], scale_off[c1]),
+            "piv_flat": (scale_off[c0], scale_off[c1]),
+            "l_flat": (exp_off[p0], exp_off[p1]),
+            "pos_ujk": (p0, p1),
+            "pair_rows": (p0, p1),
+            "pos_tgt": (exp_off[p0], exp_off[p1]),
+        }
+        for name, arr in zip(_TABLE, level):
+            lo, hi = bounds[name]
             assert arr.dtype == np.int64, name
-            assert np.array_equal(arr, want[name]), name
+            assert np.array_equal(arr, ref[name][lo:hi]), (i, name)
+        searches.append(int(ref["pair_search"][p0:p1].sum()))
+    if not count_search_steps:
+        searches = [0] * len(searches)
+    stats = vectorized._stats_of(plan, count_search_steps, [])
+    assert [lv[3] for lv in stats.per_level] == searches
+    assert stats.search_steps == sum(searches)
     return plan
 
 
@@ -134,10 +153,9 @@ def _filled_and_schedule(a):
 
 def _shrink_caps(monkeypatch):
     """Caps small enough that a 160-column matrix crosses at least 80
-    target-column blocks and more than ten level batches."""
+    target-column blocks."""
     monkeypatch.setattr(vectorized, "_WINDOW_ENTRIES", 2 * 160)
     monkeypatch.setattr(vectorized, "_MAX_BLOCK_UPDATES", 37)
-    monkeypatch.setattr(vectorized, "_MAX_BATCH_UPDATES", 150)
 
 
 @pytest.fixture
@@ -161,8 +179,8 @@ def test_plan_equals_searchsorted_reference(small_caps, gen, seed,
     filled, schedule = _filled_and_schedule(a)
     assert filled.nnz > a.nnz, "the test matrix must fill in"
     plan = _assert_plan_matches(filled, schedule, count_search_steps)
-    assert len(plan.batches) > 10
-    assert sum(len(b.pos_tgt) for b in plan.batches) > 1000
+    assert len(plan.levels) > 10
+    assert sum(len(lv[5]) for lv in plan.levels) > 1000
 
 
 @pytest.mark.parametrize("gen", [circuit_like, fem_like],
@@ -172,11 +190,9 @@ def test_plan_equals_reference_at_default_caps(gen):
     _assert_plan_matches(filled, schedule, True)
 
 
-def test_single_column_levels(small_caps, monkeypatch):
+def test_single_column_levels(small_caps):
     # lower bidiagonal plus a last dense row and column: every level
-    # holds one column with at most two updates, and most batches one
-    # level
-    monkeypatch.setattr(vectorized, "_MAX_BATCH_UPDATES", 3)
+    # holds one column with at most two updates
     n = 40
     d = np.eye(n) * 4.0
     d[np.arange(1, n), np.arange(n - 1)] = 1.0
@@ -185,7 +201,7 @@ def test_single_column_levels(small_caps, monkeypatch):
     filled, schedule = _filled_and_schedule(CSRMatrix.from_dense(d))
     assert all(len(lv) == 1 for lv in schedule.levels)
     plan = _assert_plan_matches(filled, schedule, True)
-    assert len(plan.batches) > n // 2
+    assert len(plan.levels) == n
 
 
 @pytest.mark.parametrize("count_search_steps", [False, True])
@@ -193,17 +209,50 @@ def test_diagonal_only_plan_has_empty_streams(small_caps,
                                               count_search_steps):
     filled, schedule = _filled_and_schedule(CSRMatrix.identity(12))
     plan = _assert_plan_matches(filled, schedule, count_search_steps)
-    assert all(len(b.pos_tgt) == 0 and len(b.pos_ujk) == 0
-               for b in plan.batches)
+    assert all(len(lv[5]) == 0 and len(lv[3]) == 0 for lv in plan.levels)
 
 
-def test_empty_matrix_plan_has_no_batches():
+def test_empty_matrix_plan_has_no_levels():
     empty = CSRMatrix(0, 0, [0], [], np.empty(0))
     schedule = LevelSchedule(level_of=np.empty(0, dtype=np.int64))
     plan = _assert_plan_matches(empty, schedule, True)
-    assert plan.batches == []
+    assert plan.levels == []
     stats = factorize_in_place(empty.to_csc(), empty, schedule)
     assert stats.columns == 0 and stats.per_level == []
+
+
+def _numeric_plans(schedule):
+    return [p for p in schedule.plans.values()
+            if isinstance(p, vectorized._NumericPlan)]
+
+
+def test_one_plan_per_pattern_across_search_modes():
+    a = circuit_like(160, 7.0, seed=2)
+    filled, schedule = _filled_and_schedule(a)
+    plan = None
+    for count_search_steps in (False, True, False):
+        fast, oracle = filled.to_csc(), filled.to_csc()
+        got = factorize_in_place(
+            fast, filled, schedule, count_search_steps=count_search_steps
+        )
+        want = factorize_in_place(
+            oracle, filled, schedule, slow=True,
+            count_search_steps=count_search_steps,
+        )
+        assert np.array_equal(fast.data, oracle.data)
+        assert _stats_tuple(got) == _stats_tuple(want)
+        assert (got.search_steps > 0) == count_search_steps
+        (cached,) = _numeric_plans(schedule)
+        assert plan is None or cached is plan, "plan must be kept"
+        plan = cached
+    # both device formats solve through the U stream of that one plan
+    for fmt in ("dense", "csc"):
+        res = numeric_factorize_gpu(
+            GPU(), filled, schedule, SolverConfig(numeric_format=fmt)
+        )
+        assert res.data_format == fmt
+        assert _numeric_plans(schedule) == [plan]
+        assert np.shares_memory(res.solve_plan.streams.bwd_pos, plan.pos_ujk)
 
 
 # ---------------------------------------------------------------------------
@@ -281,7 +330,7 @@ def test_repeated_row_adjacency_entry_is_rejected():
         filled.indices[take], filled.data[take], check=False,
     )
     with pytest.raises(SparseFormatError):
-        vectorized._build_plan(filled.to_csc(), repeated, schedule, False)
+        vectorized._build_plan(filled.to_csc(), repeated, schedule)
 
 
 _OPTIMIZE_SCRIPT = """

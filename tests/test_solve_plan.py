@@ -99,14 +99,14 @@ def test_refactorize_reuses_plan_and_stays_bitwise():
     an = analyze(a)
     first = an.refactorize(a)
     plan = first.numeric.solve_plan
-    assert plan is an.schedule._solve_plan
+    assert plan is an.schedule.plans["solve"]
     for seed in range(3):
         res = an.refactorize(restamp(a, seed))
         assert res.numeric.solve_plan is plan, "plan must be reused"
         b = _rhs(a.n_rows, seed)
         _assert_plan_matches_oracle(res.numeric, b)
     # the backward stream is the numeric plan's U stream, not a copy
-    (nplan,) = an.schedule._numeric_plans.values()
+    nplan = an.schedule.plans["numeric"]
     assert np.shares_memory(plan.streams.bwd_pos, nplan.pos_ujk)
 
 

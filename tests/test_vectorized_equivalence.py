@@ -1,9 +1,9 @@
 """Scalar-oracle vs vectorized host-path equivalence, registry-wide.
 
 The vectorization contract is *identical by construction*: the bulk
-NumPy paths (fill2 wave expansion, Kahn wave levelization, the batched
-right-looking numeric kernel and its cached structure plan) may only
-change wall-clock, never a result.  For every workload in the registry
+NumPy paths (fill2 wave expansion, Kahn wave levelization, the
+level-scheduled right-looking numeric kernel and its cached structure
+plan) may only change wall-clock, never a result.  For every workload in the registry
 this harness asserts bitwise-identical factors, identical level
 schedules, identical traversal counters and identical simulated-time
 charges between ``slow=True`` (the readable per-element loops) and the
@@ -105,6 +105,8 @@ def test_numeric_factors_bitwise_and_stats_identical(spec):
         {},
         {"count_search_steps": True},
         {"pivot_tolerance": 1e-30, "count_search_steps": True},
+        # a positive perturbation always takes the checked loop
+        {"pivot_perturbation": 1e-12, "count_search_steps": True},
     ):
         ref, fast = filled.to_csc(), filled.to_csc()
         s_ref = factorize_in_place(ref, filled, sched, **kwargs)
@@ -219,8 +221,8 @@ def test_refactorize_reuses_numeric_plan():
     a = spec.generate()
     analysis = analyze(a)
     first = analysis.refactorize(a)
-    plans = getattr(analysis.schedule, "_numeric_plans", None)
-    assert plans, "fast path should cache its structure plan"
+    plans = analysis.schedule.plans
+    assert "numeric" in plans, "fast path should cache its structure plan"
     cached = dict(plans)
     # same values again: identical factors out of the cached plan
     second = analysis.refactorize(a)
